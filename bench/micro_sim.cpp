@@ -1,8 +1,9 @@
 // Microbenchmark of the simulation stack: single-thread replication
 // throughput (runs/sec and patterns/sec) of both protocol back-ends under
-// exponential, Weibull and log-normal arrivals, emitted as BENCH_sim.json
-// so the perf trajectory of the simulator hot path is tracked across
-// commits.
+// exponential, Weibull and log-normal arrivals, plus the correlated fast
+// back-end (sim/correlated.hpp) in shock, shock + PFS-penalty and
+// heterogeneous worlds, emitted as BENCH_sim.json so the perf trajectory
+// of the simulator hot path is tracked across commits.
 //
 // Each configuration is timed twice: once under the auto-detected SIMD
 // variate tier (AVX2 where the host has it) and once under the forced
@@ -36,6 +37,7 @@
 #include "ayd/engine/engine.hpp"
 #include "ayd/io/csv.hpp"
 #include "ayd/io/json.hpp"
+#include "ayd/model/correlated.hpp"
 #include "ayd/model/platform.hpp"
 #include "ayd/model/scenario.hpp"
 #include "ayd/rng/simd.hpp"
@@ -56,7 +58,33 @@ struct Config {
   /// Multiplier on the platform's lambda_ind; the failure-rich regime
   /// stresses the block pipeline (most draws need a transform).
   double lambda_scale = 1.0;
+  /// Correlated extension on top of `dist`: "" (plain world), "shock",
+  /// "shock+pfs" or "hetero" (see apply_world).
+  std::string world{};
+
+  /// The configuration's name in the output and the baseline CSV: the
+  /// dist, prefixed with the world for extended ones.
+  [[nodiscard]] std::string label() const {
+    return world.empty() ? dist : world + "/" + dist;
+  }
 };
+
+/// The correlated worlds of the extended configurations: a shock stream
+/// carrying half the fail-stop intensity in groups of 5% of the nodes,
+/// that plus a 4x slower PFS restore after shocks, or half the nodes at
+/// 1.5x the rate under `dist` and half at 0.5x under the exponential.
+model::System apply_world(const model::System& sys, const std::string& world,
+                          const std::string& dist) {
+  if (world.empty()) return sys;
+  if (world == "hetero") {
+    return sys.with_heterogeneity(model::HeterogeneousSpec::parse(
+        "0.5*1.5*" + dist + ";0.5*0.5*exponential"));
+  }
+  const model::System shocked = sys.with_shock({0.5, 0.05});
+  if (world == "shock") return shocked;
+  return shocked.with_two_tier(
+      model::TwoTierCostSpec::from_penalty(shocked.costs(), 4.0));
+}
 
 struct Throughput {
   double runs_per_sec = 0.0;
@@ -111,7 +139,9 @@ Measurement measure(const Config& cfg, const model::System& sys,
                     const sim::ReplicationOptions& opt, int reps) {
   Measurement m;
   m.config = cfg;
-  m.tier_invariant = cfg.dist == "exponential" && cfg.backend == "fast";
+  // The correlated fast loop never reaches a vectorized kernel either.
+  m.tier_invariant = (cfg.dist == "exponential" || !cfg.world.empty()) &&
+                     cfg.backend == "fast";
   m.active = time_config(sys, pattern, opt, reps);
   if (!m.tier_invariant &&
       rng::simd::active_tier() != rng::simd::Tier::kScalar) {
@@ -244,8 +274,9 @@ int main(int argc, char** argv) {
       "Micro — simulator replication throughput (fast vs DES, SIMD vs "
       "scalar, CRN vs independent)",
       "single-thread runs/sec of both protocol back-ends under "
-      "exponential, Weibull and log-normal arrivals, per variate tier; "
-      "JSON written for the perf trajectory",
+      "exponential, Weibull and log-normal arrivals and of the correlated "
+      "fast back-end, per variate tier; JSON written for the perf "
+      "trajectory",
       [](cli::ArgParser& p) {
         p.add_option("out", "BENCH_sim.json",
                      "output path for the JSON record");
@@ -279,6 +310,19 @@ int main(int argc, char** argv) {
             {"lognormal:s=1.2", "des", "paper", sim::Backend::kDes},
             {"lognormal:s=1.2", "fast", "failure-rich", sim::Backend::kFast,
              600.0},
+            // Correlated worlds on the fast back-end.
+            {"weibull:k=0.7", "fast", "paper", sim::Backend::kFast, 1.0,
+             "shock"},
+            {"weibull:k=0.7", "fast", "failure-rich", sim::Backend::kFast,
+             600.0, "shock"},
+            {"weibull:k=0.7", "fast", "paper", sim::Backend::kFast, 1.0,
+             "shock+pfs"},
+            {"weibull:k=0.7", "fast", "failure-rich", sim::Backend::kFast,
+             600.0, "shock+pfs"},
+            {"weibull:k=0.7", "fast", "paper", sim::Backend::kFast, 1.0,
+             "hetero"},
+            {"weibull:k=0.7", "fast", "failure-rich", sim::Backend::kFast,
+             600.0, "hetero"},
         };
         const auto baseline = load_baseline(args.option("baseline"));
         const int reps = static_cast<int>(args.option_int("reps"));
@@ -294,6 +338,7 @@ int main(int argc, char** argv) {
           if (cfg.dist != "exponential") {
             sys = sys.with_failure_dist(model::FailureDistSpec::parse(cfg.dist));
           }
+          sys = apply_world(sys, cfg.world, cfg.dist);
           // Each regime deploys its own Theorem-1 pattern (shape-blind, so
           // the paper-regime pattern matches the historical harness).
           const core::Pattern pattern{
@@ -301,7 +346,8 @@ int main(int argc, char** argv) {
               platform.measured_procs};
           opt.backend = cfg.kind;
           Measurement m = measure(cfg, sys, pattern, opt, reps);
-          const auto hit = baseline.find({cfg.dist, cfg.backend, cfg.regime});
+          const auto hit =
+              baseline.find({cfg.label(), cfg.backend, cfg.regime});
           if (hit != baseline.end()) m.baseline_runs_per_sec = hit->second;
           results.push_back(m);
 
@@ -320,9 +366,9 @@ int main(int argc, char** argv) {
                                               3) +
                       "x baseline";
           }
-          std::printf("SIM-BENCH %-15s %-4s %-12s [%s]: %10.0f runs/s  "
+          std::printf("SIM-BENCH %-23s %-4s %-12s [%s]: %10.0f runs/s  "
                       "%12.0f patterns/s%s\n",
-                      cfg.dist.c_str(), cfg.backend.c_str(),
+                      cfg.label().c_str(), cfg.backend.c_str(),
                       cfg.regime.c_str(), tier, m.active.runs_per_sec,
                       m.active.patterns_per_sec, extras.c_str());
         }
@@ -363,6 +409,7 @@ int main(int argc, char** argv) {
         for (const Measurement& m : results) {
           json.begin_object();
           json.kv("dist", m.config.dist);
+          if (!m.config.world.empty()) json.kv("world", m.config.world);
           json.kv("backend", m.config.backend);
           json.kv("regime", m.config.regime);
           json.kv("tier_invariant", m.tier_invariant);

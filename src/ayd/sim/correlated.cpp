@@ -4,6 +4,7 @@
 #include <limits>
 #include <sstream>
 
+#include "ayd/sim/write_back.hpp"
 #include "ayd/util/contracts.hpp"
 #include "ayd/util/error.hpp"
 
@@ -92,7 +93,28 @@ CorrelatedWorld::CorrelatedWorld(const model::System& sys,
 
 CorrelatedFastSimulator::CorrelatedFastSimulator(const model::System& sys,
                                                  const core::Pattern& pattern)
-    : pattern_(pattern), world_(sys, pattern) {}
+    : pattern_(pattern), world_(sys, pattern) {
+  // Zero-rate sources never strike and consume no words: leave them out.
+  filtered_ = !world_.silent_active() || world_.silent().unit_samplable();
+  for (const detail::FailSource& src : world_.fail_sources()) {
+    if (src.dist->rate() <= 0.0) continue;
+    sources_.push_back({src.dist.get(), src.is_shock, {}});
+    filtered_ = filtered_ && src.dist->unit_samplable();
+  }
+  if (!filtered_) return;
+  // Each window with the expression the replica loop compares against.
+  const double tvc = (world_.t() + world_.v()) + world_.c();
+  for (ActiveSource& src : sources_) {
+    src.mthr[kAttempt] = safe_word_threshold(*src.dist, tvc);
+    src.mthr[kRecoveryBb] =
+        safe_word_threshold(*src.dist, world_.recovery_cost(false));
+    src.mthr[kRecoveryPfs] =
+        safe_word_threshold(*src.dist, world_.recovery_cost(true));
+  }
+  if (world_.silent_active()) {
+    mthr_silent_ = safe_word_threshold(world_.silent(), world_.t());
+  }
+}
 
 void CorrelatedFastSimulator::set_unit_cursor(
     UnitVariatePool::Cursor* cursor) {
@@ -107,26 +129,67 @@ PatternStats CorrelatedFastSimulator::simulate_pattern(rng::RngStream& rng) {
 
 PatternStats CorrelatedFastSimulator::simulate_replica(rng::RngStream& rng,
                                                        std::size_t n) {
+  // The threshold filter of FastProtocolSimulator::simulate_replica,
+  // applied per source. A draw takes the word sample() would have taken
+  // and runs the quantile inversion only when the word lies below the
+  // source's CDF threshold for the window being decided; above it, the
+  // arrival stays +inf, because its exact value is guaranteed to lie at
+  // or beyond that window. Replacing such an arrival by +inf cannot
+  // change anything the loop reads:
+  //  * the minimum's comparisons: an attempt compares the minimum
+  //    against T+V and (T+V)+C (the threshold window; T+V <= it), a
+  //    recovery try against its R. If the exact minimum lies inside the
+  //    window, the filtered sources all lost to it (strict <, so they
+  //    cannot tie it either) and the minimum and its source are exact;
+  //    if not, the filtered minimum lies beyond the window too and
+  //    every comparison fails alike;
+  //  * the origin of the minimum (x_shock / min_is_shock) and the
+  //    masked-silent test s < x are only read on branches where the
+  //    minimum lies inside its window, i.e. where it is exact;
+  //  * the silent arrival is decided against T, its threshold window,
+  //    and compared against x only when it lies below T, i.e. exact.
+  // Recovery tries read the threshold of the chain's current tier, so a
+  // shock that moves the chain to the PFS switches thresholds on the
+  // next try. The engine runs on a register-resident copy.
+  rng::Xoshiro256 eng = rng.engine();
+  const detail::WriteBack<rng::Xoshiro256> sync(eng, rng.engine());
+
   PatternStats totals;
-  const auto& sources = world_.fail_sources();
+  const bool filtered = filtered_;
   const bool tiered = world_.tiered();
   const bool have_silent = world_.silent_active();
+  const model::FailureDistribution& silent_dist = world_.silent();
+  const std::uint64_t mthr_silent = mthr_silent_;
   const double t = world_.t();
   const double tv = world_.t() + world_.v();
   const double tvc = tv + world_.c();
   const double d = world_.d();
 
+  // One arrival of `dist`, decided against the window of threshold mthr.
+  const auto draw = [&](const model::FailureDistribution& dist,
+                        std::uint64_t mthr) -> double {
+    if (!filtered) {
+      // sample() may consume any number of words (trace replay). Every
+      // draw of such a world comes here, so the stream is current; only
+      // the local copy, which the guard writes back, needs refreshing.
+      const double a = dist.sample(rng);
+      eng = rng.engine();
+      return a;
+    }
+    const std::uint64_t m = eng() >> 11;
+    return m < mthr ? dist.sample_value(static_cast<double>(m) * 0x1.0p-53)
+                    : kInf;
+  };
+
   // Earliest arrival over all fail sources this renewal interval, and
-  // whether it came from the shock stream. Zero-rate sources yield +inf
-  // without consuming words; strict < keeps the first source on a tie
-  // (ties have measure zero for the analytic laws).
+  // whether it came from the shock stream; strict < keeps the first
+  // source on a tie (ties have measure zero for the analytic laws).
   bool min_is_shock = false;
-  const auto draw_fail = [&]() -> double {
+  const auto draw_fail = [&](Window window) -> double {
     double best = kInf;
     min_is_shock = false;
-    for (const detail::FailSource& src : sources) {
-      const double a =
-          src.dist->rate() > 0.0 ? src.dist->sample(rng) : kInf;
+    for (const ActiveSource& src : sources_) {
+      const double a = draw(*src.dist, src.mthr[window]);
       if (a < best) {
         best = a;
         min_is_shock = src.is_shock;
@@ -150,7 +213,7 @@ PatternStats CorrelatedFastSimulator::simulate_replica(rng::RngStream& rng,
       bool pfs = tiered && from_shock;
       for (;;) {
         const double r = world_.recovery_cost(pfs);
-        const double y = draw_fail();
+        const double y = draw_fail(pfs ? kRecoveryPfs : kRecoveryBb);
         if (y < r) {
           if (fail_stops >= kMaxPatternAttempts) {
             throw_diverged(pattern_, world_);
@@ -174,10 +237,10 @@ PatternStats CorrelatedFastSimulator::simulate_replica(rng::RngStream& rng,
         throw_diverged(pattern_, world_);
       }
       ++attempts;
-      const double x = draw_fail();
+      const double x = draw_fail(kAttempt);
       const bool x_shock = min_is_shock;
       const double s_arrival =
-          have_silent ? world_.silent().sample(rng) : kInf;
+          have_silent ? draw(silent_dist, mthr_silent) : kInf;
       const bool silent = s_arrival < t;
 
       if (x < tv) {

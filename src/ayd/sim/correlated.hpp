@@ -29,20 +29,30 @@
 //    and resets once a recovery completes and a fresh attempt begins.
 //
 // Draw discipline: zero-rate sources consume no engine words (the
-// NeverFails discipline of the plain simulators), all other draws go
-// through FailureDistribution::sample, and replica i always reads RNG
-// substream (seed, i) — so results are byte-identical across runs and
-// thread counts. There is no CRN pool mode: an extended world's draw
-// sequence interleaves several laws, so the engine's variate cache
-// excludes extended systems (engine/evaluator.cpp) and the replication
-// driver rejects a shared pool for them. The two backends below make
+// NeverFails discipline of the plain simulators), every other source
+// draws once per renewal in the fixed source order, and replica i always
+// reads RNG substream (seed, i) — so results are byte-identical across
+// runs and thread counts. The fast backend draws word-then-threshold:
+// when every active source is unit-samplable, each draw takes one engine
+// word and runs the quantile inversion (sample_value) only when the word
+// lies below that source's CDF threshold for the window being decided —
+// the same filter FastProtocolSimulator uses, bit-transparent for a
+// minimum over sources (see simulate_replica). A world with a source
+// that is not unit-samplable (trace replay) draws every arrival through
+// FailureDistribution::sample instead, as the DES backend always does.
+// There is no CRN pool mode: an extended world's draw sequence
+// interleaves several laws, so the engine's variate cache excludes
+// extended systems (engine/evaluator.cpp) and the replication driver
+// rejects a shared pool for them. The two backends below make
 // independent draw sequences but identical distributional assumptions;
-// tests/sim_backend_equivalence_test.cpp holds them together, and
+// tests/sim_backend_equivalence_test.cpp holds them together,
 // tests/model_correlated_test.cpp validates the samplers against
-// closed-form marginals.
+// closed-form marginals, and tests/sim_bitcompat_test.cpp pins the fast
+// backend to the draw-everything loop it replaced.
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -104,8 +114,9 @@ class CorrelatedWorld {
 }  // namespace detail
 
 /// Closed-form per-segment sampler for extended worlds, modeled on
-/// FastProtocolSimulator's general loop: one fresh arrival per source per
-/// attempt / per recovery try, earliest strike wins. The default backend.
+/// FastProtocolSimulator's threshold-filtered loop: one fresh arrival per
+/// source per attempt / per recovery try, earliest strike wins. The
+/// default backend.
 class CorrelatedFastSimulator {
  public:
   CorrelatedFastSimulator(const model::System& sys,
@@ -127,8 +138,25 @@ class CorrelatedFastSimulator {
   [[nodiscard]] const core::Pattern& pattern() const { return pattern_; }
 
  private:
+  /// Windows an arrival is decided against: the attempt, (T+V)+C, and a
+  /// recovery try on the burst-buffer or the PFS tier.
+  enum Window : std::size_t { kAttempt = 0, kRecoveryBb = 1, kRecoveryPfs = 2 };
+
+  /// An active (rate > 0) fail source as the replica loop draws it.
+  struct ActiveSource {
+    const model::FailureDistribution* dist;
+    bool is_shock;
+    /// safe_word_threshold per Window (only set when filtered_).
+    std::array<std::uint64_t, 3> mthr{};
+  };
+
   core::Pattern pattern_;
   detail::CorrelatedWorld world_;
+  std::vector<ActiveSource> sources_;  ///< draw order of the world
+  /// Every active source (fail and silent) is unit-samplable, so draws
+  /// go word-then-threshold; otherwise every draw goes through sample().
+  bool filtered_ = false;
+  std::uint64_t mthr_silent_ = 0;  ///< silent arrival before T possible
 };
 
 /// Event-queue reference backend for extended worlds: the phase machine

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "ayd/rng/simd.hpp"
+#include "ayd/sim/write_back.hpp"
 #include "ayd/util/contracts.hpp"
 #include "ayd/util/error.hpp"
 
@@ -494,11 +495,7 @@ PatternStats FastProtocolSimulator::simulate_replica(rng::RngStream& rng,
   // entirely in registers; the guard object writes the state back even
   // if the divergence bound throws mid-replica.
   rng::Xoshiro256 eng = rng.engine();
-  struct SyncEngine {
-    rng::Xoshiro256& local;
-    rng::RngStream& stream;
-    ~SyncEngine() { stream.engine() = local; }
-  } sync{eng, rng};
+  const detail::WriteBack<rng::Xoshiro256> sync(eng, rng.engine());
 
   const bool have_fail = lf_ > 0.0;
   const bool have_silent = ls_ > 0.0;
@@ -628,11 +625,7 @@ PatternStats FastProtocolSimulator::simulate_replica_pool(std::size_t n) {
   // loop-invariant, but the compiler cannot prove that across the stats
   // stores without the local copies.
   UnitVariatePool::Cursor cur = *pool_cursor_;
-  struct SyncCursor {
-    UnitVariatePool::Cursor& local;
-    UnitVariatePool::Cursor& shared;
-    ~SyncCursor() { shared = local; }
-  } sync{cur, *pool_cursor_};
+  const detail::WriteBack<UnitVariatePool::Cursor> sync(cur, *pool_cursor_);
   PatternStats totals;
 
   const bool have_fail = lf_ > 0.0;
@@ -744,11 +737,7 @@ PatternStats FastProtocolSimulator::simulate_replica_pool_units(
   // are its own golden tier — the scalar reference tier never routes
   // here.
   UnitVariatePool::Cursor cur = *pool_cursor_;
-  struct SyncCursor {
-    UnitVariatePool::Cursor& local;
-    UnitVariatePool::Cursor& shared;
-    ~SyncCursor() { shared = local; }
-  } sync{cur, *pool_cursor_};
+  const detail::WriteBack<UnitVariatePool::Cursor> sync(cur, *pool_cursor_);
   PatternStats totals;
 
   const bool have_fail = lf_ > 0.0;
@@ -878,11 +867,7 @@ PatternStats FastProtocolSimulator::simulate_replica_block(rng::RngStream& rng,
   }
 
   rng::Xoshiro256 eng = rng.engine();
-  struct SyncEngine {
-    rng::Xoshiro256& local;
-    rng::RngStream& stream;
-    ~SyncEngine() { stream.engine() = local; }
-  } sync{eng, rng};
+  const detail::WriteBack<rng::Xoshiro256> sync(eng, rng.engine());
 
   PatternStats totals;
   const bool have_fail = lf_ > 0.0;

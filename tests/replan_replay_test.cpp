@@ -187,7 +187,7 @@ TEST(ReplanReplay, SubscribeRepliesWithTheExactWatchRecords) {
       << R"("patterns":"32","max-reps":"64","ci-rel-tol":"0.2",)";
   req << "\"telemetry\":\"" << io::json_escape(read_file(trace)) << "\"}";
 
-  service::PlanningService service({/*threads=*/1});
+  service::PlanningService service({.threads = 1, .cache_dir = ""});
   const std::string reply = service.handle_line(req.str());
   const io::JsonValue v = io::parse_json(reply);
   ASSERT_TRUE(v.at("ok").as_bool()) << reply;
@@ -211,7 +211,7 @@ TEST(ReplanReplay, SubscribeRepliesWithTheExactWatchRecords) {
 }
 
 TEST(ReplanReplay, SubscribeAcceptsInlineEventArrays) {
-  service::PlanningService service({/*threads=*/1});
+  service::PlanningService service({.threads = 1, .cache_dir = ""});
   const std::string reply = service.handle_line(
       R"({"op":"subscribe","id":2,"lambda":"2.78e-4","procs":"1",)"
       R"("runs":"8","patterns":"32","max-reps":"64","ci-rel-tol":"0.2",)"
@@ -236,7 +236,7 @@ std::string error_code_of(const std::string& reply) {
 }
 
 TEST(ReplanReplay, SubscribeMalformedTelemetryIsBadRequestNotAWedge) {
-  service::PlanningService service({/*threads=*/1});
+  service::PlanningService service({.threads = 1, .cache_dir = ""});
   const std::string prefix =
       R"({"op":"subscribe","id":3,"lambda":"2.78e-4","procs":"1",)"
       R"("runs":"8","patterns":"32","max-reps":"64",)";
@@ -276,7 +276,7 @@ TEST(ReplanReplay, SubscribeMalformedTelemetryIsBadRequestNotAWedge) {
 }
 
 TEST(ReplanReplay, SubscribeNeedsExactlyOneTelemetrySource) {
-  service::PlanningService service({/*threads=*/1});
+  service::PlanningService service({.threads = 1, .cache_dir = ""});
   const std::string neither = service.handle_line(
       R"({"op":"subscribe","id":4,"procs":"1"})");
   EXPECT_EQ(error_code_of(neither), "bad_request");

@@ -55,7 +55,7 @@ std::string optimize_request(int id, const std::string& params) {
 // -- protocol round-trip -------------------------------------------------
 
 TEST(ServiceProtocol, MalformedLineYieldsParseErrorReply) {
-  PlanningService service({/*threads=*/1});
+  PlanningService service({.threads = 1, .cache_dir = ""});
   const std::string reply = service.handle_line("this is not json");
   const io::JsonValue v = io::parse_json(reply);
   EXPECT_TRUE(v.at("id").is_null());
@@ -64,7 +64,7 @@ TEST(ServiceProtocol, MalformedLineYieldsParseErrorReply) {
 }
 
 TEST(ServiceProtocol, NonObjectAndMissingOpAreRejected) {
-  PlanningService service({/*threads=*/1});
+  PlanningService service({.threads = 1, .cache_dir = ""});
   EXPECT_EQ(io::parse_json(service.handle_line("[1,2,3]"))
                 .at("error").at("code").as_string(),
             "parse_error");
@@ -82,7 +82,7 @@ TEST(ServiceProtocol, NonObjectAndMissingOpAreRejected) {
 TEST(ServiceProtocol, ParameterNamesWithEqualsAreRejected) {
   // {"procs=512": true} must not be spliced into the argv form
   // --procs=512 (a parameter the client never set).
-  PlanningService service({/*threads=*/1});
+  PlanningService service({.threads = 1, .cache_dir = ""});
   const io::JsonValue v = io::parse_json(
       service.handle_line(R"({"op":"optimize","id":1,"procs=512":true})"));
   EXPECT_FALSE(v.at("ok").as_bool());
@@ -92,7 +92,7 @@ TEST(ServiceProtocol, ParameterNamesWithEqualsAreRejected) {
 }
 
 TEST(ServiceProtocol, UnknownOpEchoesIdWithUnknownOpCode) {
-  PlanningService service({/*threads=*/1});
+  PlanningService service({.threads = 1, .cache_dir = ""});
   const io::JsonValue v =
       io::parse_json(service.handle_line(R"({"op":"frobnicate","id":17})"));
   EXPECT_EQ(v.at("id").as_int(), 17);
@@ -103,7 +103,7 @@ TEST(ServiceProtocol, UnknownOpEchoesIdWithUnknownOpCode) {
 }
 
 TEST(ServiceProtocol, UnknownParameterIsABadRequest) {
-  PlanningService service({/*threads=*/1});
+  PlanningService service({.threads = 1, .cache_dir = ""});
   const io::JsonValue v = io::parse_json(
       service.handle_line(R"({"op":"optimize","id":1,"bogus-knob":3})"));
   EXPECT_FALSE(v.at("ok").as_bool());
@@ -111,14 +111,14 @@ TEST(ServiceProtocol, UnknownParameterIsABadRequest) {
 }
 
 TEST(ServiceProtocol, NonScalarParameterIsABadRequest) {
-  PlanningService service({/*threads=*/1});
+  PlanningService service({.threads = 1, .cache_dir = ""});
   const io::JsonValue v = io::parse_json(
       service.handle_line(R"({"op":"optimize","id":1,"procs":[512]})"));
   EXPECT_EQ(v.at("error").at("code").as_string(), "bad_request");
 }
 
 TEST(ServiceProtocol, StringAndNumberIdsEchoVerbatim) {
-  PlanningService service({/*threads=*/1});
+  PlanningService service({.threads = 1, .cache_dir = ""});
   const std::string num = service.handle_line(
       R"({"op":"plan","id":42,"platform":"hera","scenario":3})");
   EXPECT_EQ(num.rfind("{\"id\":42,", 0), 0u) << num;
@@ -128,7 +128,7 @@ TEST(ServiceProtocol, StringAndNumberIdsEchoVerbatim) {
 }
 
 TEST(ServiceProtocol, OkReplyCarriesOpAndResult) {
-  PlanningService service({/*threads=*/1});
+  PlanningService service({.threads = 1, .cache_dir = ""});
   const io::JsonValue v = io::parse_json(service.handle_line(
       R"({"op":"simulate","id":5,"procs":512,"period":6000,)"
       R"("runs":6,"patterns":10})"));
@@ -145,7 +145,7 @@ TEST(ServiceProtocol, ServeAnswersEveryRequestOutOfOrderSafe) {
   // serve() may reply in any order; ids are the correlation handle. A
   // multi-worker pool plus one malformed line exercises the envelope on
   // the same session.
-  PlanningService service({/*threads=*/4});
+  PlanningService service({.threads = 4, .cache_dir = ""});
   std::ostringstream session;
   for (int id = 1; id <= 6; ++id) {
     session << R"({"op":"plan","id":)" << id
@@ -178,7 +178,7 @@ TEST(ServiceProtocol, ServeProcessesFinalUnterminatedLine) {
   // A client that omits the trailing '\n' on its last request (common
   // when the writer is killed, or with `printf '%s'`) still gets a
   // reply: EOF terminates the line.
-  PlanningService service({/*threads=*/1});
+  PlanningService service({.threads = 1, .cache_dir = ""});
   std::istringstream in(
       R"({"op":"plan","id":7,"platform":"hera","scenario":3,"work":1e6})");
   std::ostringstream out;
@@ -193,7 +193,7 @@ TEST(ServiceProtocol, ServeReturnsFalseAndStopsReadingOnDeadOutput) {
   // SIGPIPE into a stream failure), serve() must report the failure and
   // stop consuming input instead of draining stdin forever while every
   // reply is discarded.
-  PlanningService service({/*threads=*/1});
+  PlanningService service({.threads = 1, .cache_dir = ""});
   std::ostringstream session;
   for (int id = 1; id <= 500; ++id) {
     session << R"({"op":"stats","id":)" << id << "}\n";
@@ -233,7 +233,7 @@ const std::vector<std::pair<const char*, const char*>>& broken_frames() {
 }
 
 TEST(ServiceProtocol, BrokenFramesOverPipeYieldEnvelopesAndNeverWedge) {
-  PlanningService service({/*threads=*/2});
+  PlanningService service({.threads = 2, .cache_dir = ""});
   std::ostringstream session;
   for (const auto& [frame, code] : broken_frames()) {
     session << frame << "\n";
@@ -262,7 +262,7 @@ TEST(ServiceProtocol, BrokenFramesOverPipeYieldEnvelopesAndNeverWedge) {
 }
 
 TEST(ServiceProtocol, BrokenFramesOverShmYieldTheSameEnvelopesAsThePipe) {
-  PlanningService service({/*threads=*/2});
+  PlanningService service({.threads = 2, .cache_dir = ""});
   ShmServer server("proto" + std::to_string(::getpid()), service);
   ShmClient client(server.name());
   for (const auto& [frame, code] : broken_frames()) {
@@ -282,7 +282,7 @@ TEST(ServiceProtocol, BrokenFramesOverShmYieldTheSameEnvelopesAsThePipe) {
 // -- cache semantics -----------------------------------------------------
 
 TEST(ServiceCacheSemantics, WarmHitReplyIsByteIdenticalToColdMiss) {
-  PlanningService service({/*threads=*/1});
+  PlanningService service({.threads = 1, .cache_dir = ""});
   const std::string request = optimize_request(7, kSimulateParams);
   const std::string cold = service.handle_line(request);
   const std::string warm = service.handle_line(request);
@@ -293,7 +293,7 @@ TEST(ServiceCacheSemantics, WarmHitReplyIsByteIdenticalToColdMiss) {
 }
 
 TEST(ServiceCacheSemantics, SpellingAndOrderInvariantKeys) {
-  PlanningService service({/*threads=*/1});
+  PlanningService service({.threads = 1, .cache_dir = ""});
   // Same scenario four ways: member order, case, string-vs-number,
   // underscore-vs-hyphen, defaults passed explicitly.
   const std::vector<std::string> spellings = {
@@ -315,7 +315,7 @@ TEST(ServiceCacheSemantics, SpellingAndOrderInvariantKeys) {
 }
 
 TEST(ServiceCacheSemantics, DistinctScenariosDoNotCollide) {
-  PlanningService service({/*threads=*/1});
+  PlanningService service({.threads = 1, .cache_dir = ""});
   (void)service.handle_line(
       R"({"op":"optimize","id":1,"platform":"hera","scenario":3})");
   (void)service.handle_line(
@@ -348,7 +348,7 @@ TEST(ServiceCacheSemantics, EvictionRespectsCacheEntries) {
 }
 
 TEST(ServiceCacheSemantics, SingleFlightUnderEightThreads) {
-  PlanningService service({/*threads=*/1});
+  PlanningService service({.threads = 1, .cache_dir = ""});
   const std::string request = optimize_request(1, kSimulateParams);
   std::vector<std::thread> threads;
   std::vector<std::string> replies(8);
@@ -365,7 +365,7 @@ TEST(ServiceCacheSemantics, SingleFlightUnderEightThreads) {
 }
 
 TEST(ServiceCacheSemantics, StatsOpReportsCounters) {
-  PlanningService service({/*threads=*/1});
+  PlanningService service({.threads = 1, .cache_dir = ""});
   const std::string request = optimize_request(1, kSimulateParams);
   (void)service.handle_line(request);
   (void)service.handle_line(request);
@@ -397,7 +397,7 @@ TEST(ServiceEquivalence, OptimizeResultMatchesOneShotJsonRecord) {
   ASSERT_EQ(code, 0) << err.str();
   const std::string one_shot = compact(out.str());
 
-  PlanningService service({/*threads=*/1});
+  PlanningService service({.threads = 1, .cache_dir = ""});
   const io::JsonValue reply =
       io::parse_json(service.handle_line(optimize_request(1, kSimulateParams)));
   ASSERT_TRUE(reply.at("ok").as_bool());
@@ -411,7 +411,7 @@ TEST(ServiceEquivalence, AnalyticOptimizeMatchesOneShotToo) {
                             "--scenario", "5"},
                            out, err),
             0);
-  PlanningService service({/*threads=*/1});
+  PlanningService service({.threads = 1, .cache_dir = ""});
   const io::JsonValue reply = io::parse_json(service.handle_line(
       R"({"op":"optimize","id":1,"platform":"coastal","scenario":5})"));
   ASSERT_TRUE(reply.at("ok").as_bool());

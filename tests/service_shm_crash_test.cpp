@@ -82,7 +82,7 @@ TEST(ShmCrash, SigkilledClientIsReclaimedAndOthersUnperturbed) {
 
   // With exactly 2 client slots, the survivor below can only attach if
   // the victim's slot is actually reclaimed.
-  PlanningService service({/*threads=*/2});
+  PlanningService service({.threads = 2, .cache_dir = ""});
   ShmOptions options;
   options.max_clients = 2;
   ShmServer server(name, service, options);
@@ -124,7 +124,7 @@ TEST(ShmCrash, SigkilledClientIsReclaimedAndOthersUnperturbed) {
 /// until SIGKILLed (leaving the segment behind, pid published).
 [[noreturn]] void run_doomed_server(const std::string& name) {
   try {
-    PlanningService service({/*threads=*/1});
+    PlanningService service({.threads = 1, .cache_dir = ""});
     ShmServer server(name, service);
     for (;;) std::this_thread::sleep_for(50ms);
   } catch (const std::exception& e) {
@@ -148,7 +148,7 @@ TEST(ShmCrash, KilledServersSegmentIsDetectedStaleAndRecovered) {
   // succeeding proves pid + geometry are live).
   { auto probe = attach_with_retry(name); }
 
-  PlanningService service({/*threads=*/1});
+  PlanningService service({.threads = 1, .cache_dir = ""});
 
   // While the child lives, its segment is defended.
   try {

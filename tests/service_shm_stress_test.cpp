@@ -64,8 +64,9 @@ std::string request_line(int client, int i) {
          R"(,"work":)" + std::to_string(1 + scenario / 2) + "e17}";
 }
 
-/// Child body: attach, fire, verify, _exit(0) on success. Any mismatch
-/// or transport error exits non-zero (the parent's waitpid asserts).
+/// Child body: attach, fire, verify, detach, _Exit(0) on success. Any
+/// mismatch or transport error exits non-zero (the parent's waitpid
+/// asserts).
 [[noreturn]] void run_client(const std::string& name, int client) {
   try {
     // Wait out the parent's server construction.
@@ -83,7 +84,7 @@ std::string request_line(int client, int i) {
     }
     // The private reference service: what the pipe transport would
     // answer. Determinism makes this comparison exact across processes.
-    PlanningService reference({/*threads=*/1});
+    PlanningService reference({.threads = 1, .cache_dir = ""});
     const int n = requests_per_client();
     for (int i = 0; i < n; ++i) {
       const std::string line = request_line(client, i);
@@ -104,6 +105,10 @@ std::string request_line(int client, int i) {
         std::_Exit(4);
       }
     }
+    // _Exit skips destructors: detach explicitly, or the server's
+    // housekeeping may reap this exited pid as a dead client before the
+    // parent reads stats().
+    shm.reset();
     std::_Exit(0);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "client: %s\n", e.what());
@@ -128,7 +133,7 @@ TEST(ShmStress, FourProcessesTenThousandRequestsByteIdenticalToPipe) {
   }
 
   // Threads may exist only after every fork.
-  PlanningService service({/*threads=*/0});
+  PlanningService service({.threads = 0, .cache_dir = ""});
   ShmOptions options;
   options.request_slots = 64;
   ShmServer server(name, service, options);

@@ -274,7 +274,7 @@ TEST(ShmTransport, VersionMismatchIsRefusedWithPathAndReason) {
           << e.reason();
     }
   };
-  PlanningService service({/*threads=*/1});
+  PlanningService service({.threads = 1, .cache_dir = ""});
   expect_version_refusal([&] { ShmServer server(name, service); });
   expect_version_refusal([&] { ShmClient client(name); });
   ::shm_unlink(oname.c_str());
@@ -298,7 +298,7 @@ TEST(ShmTransport, BadMagicIsRefused) {
 
 TEST(ShmTransport, ServerUnlinksSegmentOnShutdown) {
   const std::string name = unique_name("unlink");
-  PlanningService service({/*threads=*/1});
+  PlanningService service({.threads = 1, .cache_dir = ""});
   {
     ShmServer server(name, service);
     struct ::stat st {};
@@ -312,7 +312,7 @@ TEST(ShmTransport, ServerUnlinksSegmentOnShutdown) {
 
 TEST(ShmTransport, SecondServerOnLiveSegmentIsRefused) {
   const std::string name = unique_name("live");
-  PlanningService service({/*threads=*/1});
+  PlanningService service({.threads = 1, .cache_dir = ""});
   ShmServer server(name, service);
   try {
     ShmServer second(name, service);
@@ -328,7 +328,7 @@ TEST(ShmTransport, SecondServerOnLiveSegmentIsRefused) {
 
 TEST(ShmTransport, WarmHitRepliesAreByteIdenticalToPipeTransport) {
   const std::string name = unique_name("e2e");
-  PlanningService service({/*threads=*/2});
+  PlanningService service({.threads = 2, .cache_dir = ""});
   ShmServer server(name, service);
   ShmClient client(name);
 
@@ -352,7 +352,7 @@ TEST(ShmTransport, WarmHitRepliesAreByteIdenticalToPipeTransport) {
 
 TEST(ShmTransport, ConcurrentClientsShareOneCache) {
   const std::string name = unique_name("multi");
-  PlanningService service({/*threads=*/2});
+  PlanningService service({.threads = 2, .cache_dir = ""});
   ShmServer server(name, service);
 
   constexpr int kClients = 3;
@@ -385,7 +385,7 @@ TEST(ShmTransport, ConcurrentClientsShareOneCache) {
 
 TEST(ShmTransport, OversizeRequestThrowsAndOversizeReplyDegrades) {
   const std::string name = unique_name("size");
-  PlanningService service({/*threads=*/1});
+  PlanningService service({.threads = 1, .cache_dir = ""});
   ShmOptions options;
   options.frame_bytes = 512;  // an optimize record (~560 bytes) won't fit
   ShmServer server(name, service, options);
@@ -410,7 +410,7 @@ TEST(ShmTransport, OversizeRequestThrowsAndOversizeReplyDegrades) {
 
 TEST(ShmTransport, ClientFailsFastAfterServerStops) {
   const std::string name = unique_name("stopped");
-  PlanningService service({/*threads=*/1});
+  PlanningService service({.threads = 1, .cache_dir = ""});
   auto server = std::make_unique<ShmServer>(name, service);
   ShmClient client(name);
   ASSERT_NE(client.call(R"({"op":"stats","id":1})").find("\"ok\":true"),
@@ -427,7 +427,7 @@ TEST(ShmTransport, ClientFailsFastAfterServerStops) {
 
 TEST(ShmTransport, AttachRefusedWhenClientTableIsFull) {
   const std::string name = unique_name("slots");
-  PlanningService service({/*threads=*/1});
+  PlanningService service({.threads = 1, .cache_dir = ""});
   ShmOptions options;
   options.max_clients = 2;
   ShmServer server(name, service, options);
@@ -444,7 +444,7 @@ TEST(ShmTransport, AttachRefusedWhenClientTableIsFull) {
 
 TEST(ShmTransport, DetachFreesTheClientSlot) {
   const std::string name = unique_name("detach");
-  PlanningService service({/*threads=*/1});
+  PlanningService service({.threads = 1, .cache_dir = ""});
   ShmOptions options;
   options.max_clients = 1;
   ShmServer server(name, service, options);
